@@ -71,7 +71,7 @@ func (t *ITuned) Run(ev core.Evaluator, iters int) (*core.Result, error) {
 			mu, v := tri.Predict(bo.Res, x)
 			return bo.EI(mu, sqrt(v), bestZ)
 		}
-		theta := bo.OptimizeAcq(acq, dim, t.Acq, [][]float64{s.hist[argminRes(s.hist)].Theta}, r)
+		theta := bo.OptimizeAcqBatch(bo.Pointwise(acq), dim, t.Acq, [][]float64{s.hist[argminRes(s.hist)].Theta}, r)
 		recommend := time.Since(tRec)
 
 		s.evaluate(theta, "ei", modelUpdate, recommend)

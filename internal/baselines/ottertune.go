@@ -83,14 +83,14 @@ func (t *OtterTuneWCon) Run(ev core.Evaluator, iters int) (*core.Result, error) 
 		if best, ok := s.hist.BestFeasible(s.res.SLA); ok {
 			bestVal = tri.Standardizer(bo.Res).Apply(best.Res)
 		}
-		acq := func(x []float64) float64 {
-			return bo.CEI(tri, x, bestVal, cons)
+		acq := func(X [][]float64, out []float64) {
+			bo.CEIBatch(tri, X, bestVal, cons, out)
 		}
 		var incumbents [][]float64
 		if best, ok := s.hist.BestFeasible(s.res.SLA); ok {
 			incumbents = append(incumbents, best.Theta)
 		}
-		theta := bo.OptimizeAcq(acq, dim, t.Acq, incumbents, r)
+		theta := bo.OptimizeAcqBatch(acq, dim, t.Acq, incumbents, r)
 		recommend := time.Since(tRec)
 
 		m := s.evaluate(theta, "mapped-cei", modelUpdate, recommend)

@@ -143,9 +143,11 @@ func TestCEIBatchMatchesPointwise(t *testing.T) {
 	}
 }
 
-// TestOptimizeAcqBatchBitIdentical asserts that the batched probe phase
-// yields exactly the point-wise recommendation, across block widths and
-// GOMAXPROCS settings, consuming the seeded stream identically.
+// TestOptimizeAcqBatchBitIdentical asserts that the one optimizer path —
+// batched probes, lockstep local search — yields exactly the recommendation
+// of the start-by-start point-wise reference, across block widths and
+// GOMAXPROCS settings, whether it scores through CEIBatch or through the
+// Pointwise adapter, consuming the seeded stream identically.
 func TestOptimizeAcqBatchBitIdentical(t *testing.T) {
 	tri := NewTriGP(5, 7)
 	if err := tri.Fit(batchTestHistory(40, 5, 7)); err != nil {
@@ -158,26 +160,21 @@ func TestOptimizeAcqBatchBitIdentical(t *testing.T) {
 	incumbents := [][]float64{{0.4, 0.4, 0.4, 0.4, 0.4}, {0.9, 0.1, 0.5, 0.2, 0.8}}
 
 	cfg := OptimizerConfig{RandomCandidates: 200, LocalStarts: 3, LocalSteps: 10, StepScale: 0.1}
-	run := func(procs int, batch BatchAcqFunc, block int) []float64 {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		c := cfg
-		c.BatchBlock = block
-		return OptimizeAcqBatch(f, batch, 5, c, incumbents, rand.New(rand.NewSource(42)))
-	}
-
-	want := run(1, nil, 0)
-	for _, procs := range []int{1, 8} {
+	want := referenceOptimizeAcq(f, 5, cfg, incumbents, rand.New(rand.NewSource(42)))
+	for _, procs := range []int{1, 2, 8} {
 		for _, block := range []int{0, 1, 17, 64, 1024} {
-			got := run(procs, fb, block)
-			for d := range want {
-				if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-					t.Fatalf("procs=%d block=%d: dim %d %x != %x", procs, block, d, got[d], want[d])
+			for name, acq := range map[string]BatchAcqFunc{"batch": fb, "pointwise": Pointwise(f)} {
+				old := runtime.GOMAXPROCS(procs)
+				c := cfg
+				c.BatchBlock = block
+				got := OptimizeAcqBatch(acq, 5, c, incumbents, rand.New(rand.NewSource(42)))
+				runtime.GOMAXPROCS(old)
+				for d := range want {
+					if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+						t.Fatalf("%s procs=%d block=%d: dim %d %x != reference %x", name, procs, block, d, got[d], want[d])
+					}
 				}
 			}
-		}
-		if got := run(procs, nil, 0); math.Float64bits(got[0]) != math.Float64bits(want[0]) {
-			t.Fatalf("point-wise path changed across GOMAXPROCS")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bo
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -9,17 +10,23 @@ import (
 	"repro/internal/rng"
 )
 
-// AcqFunc is an acquisition function over the normalized space [0,1]^m,
-// to be maximized. OptimizeAcq scores candidates concurrently, so an AcqFunc
-// must be safe for concurrent calls (every surrogate in this repository is:
-// prediction paths are read-only with pooled scratch).
-type AcqFunc func(x []float64) float64
-
-// BatchAcqFunc scores a block of candidates at once, writing out[j] = f(X[j])
-// for the point-wise function it batches. It must be bit-identical to the
-// point-wise AcqFunc and safe for concurrent calls on disjoint blocks —
-// CEIBatch over any BatchSurrogate satisfies both.
+// BatchAcqFunc is an acquisition function over the normalized space [0,1]^m,
+// to be maximized, scored a block of candidates at a time: it writes
+// out[j] = f(X[j]). Every candidate's score must be independent of the
+// others in its block (so any partition into blocks gives the same bits),
+// and the function must be safe for concurrent calls on disjoint blocks —
+// CEIBatch over any BatchSurrogate satisfies both, and so does Pointwise.
 type BatchAcqFunc func(X [][]float64, out []float64)
+
+// Pointwise adapts a point-wise acquisition function to a BatchAcqFunc by
+// scoring each candidate in turn. f must be safe for concurrent calls.
+func Pointwise(f func(x []float64) float64) BatchAcqFunc {
+	return func(X [][]float64, out []float64) {
+		for j, x := range X {
+			out[j] = f(x)
+		}
+	}
+}
 
 // DefaultBatchBlock is the candidate-block width of the batched probe phase:
 // large enough to amortize cross-covariance and solve setup per block, small
@@ -66,8 +73,8 @@ type OptimizerConfig struct {
 	LocalSteps int
 	// StepScale is the initial perturbation magnitude (fraction of range).
 	StepScale float64
-	// BatchBlock is the candidate-block width used when a BatchAcqFunc is
-	// supplied (0 selects DefaultBatchBlock). Block partitioning is purely
+	// BatchBlock is the candidate-block width of the random-probe phase
+	// (0 selects DefaultBatchBlock). Block partitioning is purely
 	// mechanical: candidates never interact, so any width yields the same
 	// recommendation.
 	BatchBlock int
@@ -89,31 +96,25 @@ func DefaultOptimizerConfig() OptimizerConfig {
 	return OptimizerConfig{RandomCandidates: 512, LocalStarts: 5, LocalSteps: 40, StepScale: 0.1}
 }
 
-// OptimizeAcq maximizes f over [0,1]^dim with random sampling followed by a
-// shrinking random local search from the best candidates. incumbents, if
-// non-nil, are extra start points (e.g. previously evaluated configurations)
-// included among the probes, which helps exploitation near known-good
-// regions.
+// OptimizeAcqBatch maximizes acq over [0,1]^dim with random sampling
+// followed by a shrinking random local search from the best candidates.
+// incumbents, if non-nil, are extra start points (e.g. previously evaluated
+// configurations) included among the probes, which helps exploitation near
+// known-good regions.
 //
-// Both hot phases fan out deterministically: all probe coordinates are
-// pre-drawn from the seeded stream in index order before concurrent scoring,
-// and each local-search start runs on its own sub-stream (partitioned from
-// the seeded stream in start order), with index-ordered reductions and
-// first-index tie-breaks. The recommendation is therefore bit-identical at
-// any GOMAXPROCS.
-func OptimizeAcq(f AcqFunc, dim int, cfg OptimizerConfig, incumbents [][]float64, r *rand.Rand) []float64 {
-	return OptimizeAcqBatch(f, nil, dim, cfg, incumbents, r)
-}
-
-// OptimizeAcqBatch is OptimizeAcq with an optional batch-scoring hook: when
-// batch is non-nil, the random-probe phase block-partitions the candidates
-// (cfg.BatchBlock per block) and scores each block with one batch call,
-// fanning blocks across par workers instead of single points. Because a
-// conforming BatchAcqFunc is bit-identical to f and blocks write disjoint
-// result ranges, the probe scores — and therefore the recommendation — match
-// the point-wise path bit for bit at any GOMAXPROCS and any block width.
-// Local search stays point-wise: each step depends on the previous accept.
-func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfig, incumbents [][]float64, r *rand.Rand) []float64 {
+// Both phases score through acq in blocks and fan out deterministically.
+// All probe coordinates are pre-drawn from the seeded stream in index order;
+// the probes are then block-partitioned (cfg.BatchBlock per block) and the
+// blocks scored across par workers. Local search steps every start in
+// lockstep: each start draws its perturbation from its own sub-stream
+// (partitioned from the seeded stream in start order, consumed exactly as a
+// start-by-start search would), and each step's candidates — one per start
+// — are scored with one acq call per worker group. Blocks write disjoint
+// result ranges, reductions are index-ordered with first-index tie-breaks,
+// and a conforming acq scores every candidate independently of its block,
+// so the recommendation is bit-identical at any GOMAXPROCS and any block
+// width.
+func OptimizeAcqBatch(acq BatchAcqFunc, dim int, cfg OptimizerConfig, incumbents [][]float64, r *rand.Rand) []float64 {
 	rec := obs.OrNop(cfg.Recorder)
 	var sp obs.Span
 	if rec.Enabled() {
@@ -121,15 +122,14 @@ func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfi
 			obs.Int("dim", dim),
 			obs.Int("candidates", cfg.RandomCandidates),
 			obs.Int("incumbents", len(incumbents)),
-			obs.Int("starts", cfg.LocalStarts),
-			obs.Bool("batched", batch != nil))
+			obs.Int("starts", cfg.LocalStarts))
 		defer sp.End()
 	}
 	// All probe (and incumbent) coordinates live in one contiguous backing
 	// array — one allocation instead of one per candidate, and cache-dense
 	// input for the batched cross-covariance pass. Draw order (candidate
-	// major, dimension minor) matches the per-candidate loop it replaces, so
-	// the seeded stream is consumed identically.
+	// major, dimension minor) matches a per-candidate loop, so the seeded
+	// stream is consumed identically.
 	box := cfg.Bounds
 	if box != nil && (len(box.Lo) != dim || len(box.Hi) != dim) {
 		panic("bo: OptimizerConfig.Bounds dimension mismatch")
@@ -176,27 +176,13 @@ func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfi
 	}
 	vals := make([]float64, len(xs))
 	tScore := time.Now()
-	if batch != nil {
-		block := cfg.BatchBlock
-		if block <= 0 {
-			block = DefaultBatchBlock
-		}
-		nb := (len(xs) + block - 1) / block
-		par.ForEach(nb, func(b int) {
-			lo := b * block
-			hi := lo + block
-			if hi > len(xs) {
-				hi = len(xs)
-			}
-			batch(xs[lo:hi], vals[lo:hi])
-		})
-		if sp != nil {
-			sp.SetAttrs(obs.Int("batch_block", block), obs.Int("batch_blocks", nb))
-		}
-	} else {
-		par.ForEach(len(xs), func(i int) { vals[i] = f(xs[i]) })
+	block := cfg.BatchBlock
+	if block <= 0 {
+		block = DefaultBatchBlock
 	}
+	nb := scoreBlocks(acq, xs, vals, block)
 	if sp != nil {
+		sp.SetAttrs(obs.Int("batch_block", block), obs.Int("batch_blocks", nb))
 		if el := time.Since(tScore).Seconds(); el > 0 {
 			sp.SetAttrs(obs.Float("probe_score_ms", el*1e3),
 				obs.Float("probes_per_sec", float64(len(xs))/el))
@@ -223,42 +209,71 @@ func OptimizeAcqBatch(f AcqFunc, batch BatchAcqFunc, dim int, cfg OptimizerConfi
 		vals[s], vals[bi] = vals[bi], vals[s]
 	}
 
-	// Refine the selected starts concurrently, one pre-seeded stream each.
-	type scored struct {
-		x []float64
-		v float64
-	}
+	// Refine the selected starts in lockstep, one pre-seeded stream each.
+	// cur[s] is start s's incumbent and cand[s] its proposal; an accepted
+	// proposal swaps buffers, so the old incumbent becomes scratch.
 	streams := rng.Partition(r, starts)
-	refined := make([]scored, starts)
-	par.ForEach(starts, func(s int) {
-		sr := streams[s]
-		cur := scored{append([]float64(nil), xs[s]...), vals[s]}
-		cand := make([]float64, dim)
-		step := cfg.StepScale
-		for it := 0; it < cfg.LocalSteps; it++ {
-			for d := range cand {
-				cand[d] = clamp01(cur.x[d] + step*sr.NormFloat64())
+	buf := make([]float64, 2*starts*dim)
+	cur := make([][]float64, starts)
+	cand := make([][]float64, starts)
+	curV := make([]float64, starts)
+	candV := make([]float64, starts)
+	step := make([]float64, starts)
+	for s := 0; s < starts; s++ {
+		cur[s] = buf[2*s*dim : (2*s+1)*dim : (2*s+1)*dim]
+		cand[s] = buf[(2*s+1)*dim : (2*s+2)*dim : (2*s+2)*dim]
+		copy(cur[s], xs[s])
+		curV[s] = vals[s]
+		step[s] = cfg.StepScale
+	}
+	// One block per par worker: the narrowest split that keeps every
+	// worker busy.
+	groups := runtime.GOMAXPROCS(0)
+	width := (starts + groups - 1) / groups
+	for it := 0; it < cfg.LocalSteps; it++ {
+		for s, sr := range streams {
+			c := cand[s]
+			for d := range c {
+				c[d] = clamp01(cur[s][d] + step[s]*sr.NormFloat64())
 			}
 			if box != nil {
-				box.Clamp(cand)
-			}
-			if v := f(cand); v > cur.v {
-				cur.x, cand = cand, cur.x // swap buffers; old cur.x is scratch now
-				cur.v = v
-			} else {
-				step *= 0.9 // shrink on failure
+				box.Clamp(c)
 			}
 		}
-		refined[s] = cur
-	})
-
-	best := scored{xs[0], vals[0]}
-	for s := 0; s < starts; s++ {
-		if refined[s].v > best.v {
-			best = refined[s]
+		scoreBlocks(acq, cand, candV, width)
+		for s := range cand {
+			if candV[s] > curV[s] {
+				cur[s], cand[s] = cand[s], cur[s]
+				curV[s] = candV[s]
+			} else {
+				step[s] *= 0.9 // shrink on failure
+			}
 		}
 	}
-	return best.x
+
+	best, bestV := xs[0], vals[0]
+	for s := 0; s < starts; s++ {
+		if curV[s] > bestV {
+			best, bestV = cur[s], curV[s]
+		}
+	}
+	return best
+}
+
+// scoreBlocks scores xs into vals through acq in contiguous blocks of the
+// given width (the last may be shorter), blocks scored concurrently, and
+// returns the number of blocks.
+func scoreBlocks(acq BatchAcqFunc, xs [][]float64, vals []float64, width int) int {
+	nb := (len(xs) + width - 1) / width
+	if nb <= 1 {
+		acq(xs, vals)
+		return 1
+	}
+	par.ForEach(nb, func(b int) {
+		lo, hi := b*width, min((b+1)*width, len(xs))
+		acq(xs[lo:hi], vals[lo:hi])
+	})
+	return nb
 }
 
 func clamp01(v float64) float64 {

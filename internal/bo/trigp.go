@@ -188,6 +188,39 @@ func (t *TriGP) PredictBatch(X [][]float64, post *BatchPosterior) {
 	triBlockPool.Put(bb)
 }
 
+// MeanBatch fills post.Mu with the standardized posterior means of all three
+// metrics at every candidate, leaving post.Var untouched — the mean half of
+// PredictBatch, bit for bit, without any triangular solve. Metrics whose
+// GPs share a cross-covariance block build it once. The meta ensemble uses
+// it for base learners whose variances Eq. 7 discards.
+func (t *TriGP) MeanBatch(X [][]float64, post *BatchPosterior) {
+	post.Resize(len(X))
+	if len(X) == 0 {
+		return
+	}
+	bb := triBlockPool.Get().(*triBlockBuf)
+	var done [3]bool
+	for i, gi := range t.gps {
+		if done[i] {
+			continue
+		}
+		if gi.N() == 0 {
+			gi.PredictBatch(X, post.Mu[i], post.Var[i])
+			done[i] = true
+			continue
+		}
+		kstar := bb.get(i, gi.TrainN(), len(X))
+		gi.CrossCovTo(kstar, X)
+		for j := i; j < len(t.gps); j++ {
+			if j == i || (!done[j] && gi.SharesCrossCov(t.gps[j])) {
+				t.gps[j].MeanBatchCov(kstar, post.Mu[j])
+				done[j] = true
+			}
+		}
+	}
+	triBlockPool.Put(bb)
+}
+
 // PredictRaw returns the posterior in the metric's raw units.
 func (t *TriGP) PredictRaw(m Metric, x []float64) (mu, variance float64) {
 	zmu, zv := t.gps[m].Predict(x)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bo"
 	"repro/internal/meta"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // sessionTrace flattens the parts of a session result that every stochastic
@@ -93,11 +94,12 @@ func TestSessionDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSessionUsesBatchedAcquisition pins the wiring assumption the
-// determinism test above relies on: every surrogate the tuner loop builds
-// (plain TriGP and the meta ensemble) satisfies bo.BatchSurrogate, and the
-// batched CEI hook the loop installs scores a probe block bit-identically to
-// the point-wise acquisition at GOMAXPROCS 1 and 8.
+// TestSessionUsesBatchedAcquisition pins the wiring the determinism test
+// above relies on: every surrogate the tuner loop builds (plain TriGP and
+// the meta ensemble) satisfies bo.BatchSurrogate, and the one optimizer
+// path — CEIBatch-scored probes and lockstep local search — recommends
+// exactly what a start-by-start point-wise CEI search does, at GOMAXPROCS 1
+// and 8.
 func TestSessionUsesBatchedAcquisition(t *testing.T) {
 	ev := twitterEvaluator(3)
 	h := sampleHistory(ev, 14, 0.1)
@@ -115,7 +117,7 @@ func TestSessionUsesBatchedAcquisition(t *testing.T) {
 	for name, s := range map[string]bo.Surrogate{"trigp": tri, "ensemble": ens} {
 		bs, ok := s.(bo.BatchSurrogate)
 		if !ok {
-			t.Fatalf("%s surrogate does not batch: the tuner loop would fall back to point-wise scoring", name)
+			t.Fatalf("%s surrogate does not batch", name)
 		}
 		sla := bo.SLA{LambdaTps: 5000, LambdaLat: 10}
 		cons := tri.RawConstraints(sla)
@@ -123,22 +125,71 @@ func TestSessionUsesBatchedAcquisition(t *testing.T) {
 		f := func(x []float64) float64 { return bo.CEI(s, x, best, cons) }
 		fb := func(X [][]float64, out []float64) { bo.CEIBatch(bs, X, best, cons, out) }
 		cfg := fastAcq()
-		var want []float64
+		want := pointwiseOptimizeAcq(f, ev.Space().Dim(), cfg, rand.New(rand.NewSource(11)))
 		for _, procs := range []int{1, 8} {
 			old := runtime.GOMAXPROCS(procs)
-			got := bo.OptimizeAcqBatch(f, fb, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
-			point := bo.OptimizeAcq(f, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
+			got := bo.OptimizeAcqBatch(fb, ev.Space().Dim(), cfg, nil, rand.New(rand.NewSource(11)))
 			runtime.GOMAXPROCS(old)
-			if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", point) {
-				t.Fatalf("%s at GOMAXPROCS=%d: batched %x != point-wise %x", name, procs, got, point)
-			}
-			if want == nil {
-				want = got
-			} else if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
-				t.Fatalf("%s: batched recommendation varies with GOMAXPROCS", name)
+			if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+				t.Fatalf("%s at GOMAXPROCS=%d: batched %x != point-wise reference %x", name, procs, got, want)
 			}
 		}
 	}
+}
+
+// pointwiseOptimizeAcq is the test-only point-wise reference for
+// bo.OptimizeAcqBatch without incumbents or bounds: every probe scored by
+// f in draw order, the top LocalStarts refined one after another, each on
+// its own partitioned stream.
+func pointwiseOptimizeAcq(f func([]float64) float64, dim int, cfg bo.OptimizerConfig, r *rand.Rand) []float64 {
+	xs := make([][]float64, cfg.RandomCandidates)
+	vals := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = make([]float64, dim)
+		for d := range xs[i] {
+			xs[i][d] = r.Float64()
+		}
+	}
+	for i, x := range xs {
+		vals[i] = f(x)
+	}
+	starts := min(max(cfg.LocalStarts, 1), len(xs))
+	for s := 0; s < starts; s++ {
+		bi := s
+		for j := s + 1; j < len(xs); j++ {
+			if vals[j] > vals[bi] {
+				bi = j
+			}
+		}
+		xs[s], xs[bi] = xs[bi], xs[s]
+		vals[s], vals[bi] = vals[bi], vals[s]
+	}
+	best, bestV := xs[0], vals[0]
+	for s, sr := range rng.Partition(r, starts) {
+		cur, curV, step := xs[s], vals[s], cfg.StepScale
+		for it := 0; it < cfg.LocalSteps; it++ {
+			cand := make([]float64, dim)
+			for d := range cand {
+				switch v := cur[d] + step*sr.NormFloat64(); {
+				case v < 0:
+					cand[d] = 0
+				case v > 1:
+					cand[d] = 1
+				default:
+					cand[d] = v
+				}
+			}
+			if v := f(cand); v > curV {
+				cur, curV = cand, v
+			} else {
+				step *= 0.9
+			}
+		}
+		if curV > bestV {
+			best, bestV = cur, curV
+		}
+	}
+	return best
 }
 
 // canonicalJSONL re-serializes a JSONL trace with wall-clock fields removed

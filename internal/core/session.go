@@ -78,6 +78,12 @@ type Session struct {
 	// incBuf backs the per-iteration incumbent set so acquisition start
 	// points stop allocating each step.
 	incBuf [][]float64
+
+	// post memoizes the base learners' posteriors at the observed
+	// configurations for the dynamic weights (nil without meta-learning):
+	// each iteration predicts only the newest observation. A tier-2 drift
+	// reset clears it along with the corpus shortlist.
+	post *meta.PosteriorMemo
 }
 
 // NewSession validates the configuration and binds a session to an
@@ -93,13 +99,19 @@ func (t *ResTune) NewSession(ev Evaluator, iters int) (*Session, error) {
 	space := ev.Space()
 	rec := obs.OrNop(cfg.Recorder)
 	cfg.Acq.Recorder = rec
+	useMeta := len(cfg.Base) > 0 || cfg.Corpus != nil
+	var post *meta.PosteriorMemo
+	if useMeta {
+		post = meta.NewPosteriorMemo()
+	}
 	return &Session{
 		cfg:       cfg,
 		method:    t.Name(),
 		ev:        ev,
 		space:     space,
 		dim:       space.Dim(),
-		useMeta:   len(cfg.Base) > 0 || cfg.Corpus != nil,
+		useMeta:   useMeta,
+		post:      post,
 		r:         rng.Derive(cfg.Seed, "restune:"+t.Name()),
 		rec:       rec,
 		iterGauge: rec.Gauge("core.iterations"),
@@ -280,19 +292,18 @@ func (s *Session) runIteration(iter int) error {
 	iterSpan := rec.Span("core.iteration")
 	it := Iteration{Index: iter}
 
-	// --- Meta-data processing: scale unification of the target track
-	// happens inside the TriGP fit; here we account the bookkeeping the
-	// paper's client performs per iteration.
-	tMeta := time.Now()
 	staticPhase := s.useMeta && cfg.UseWorkloadChar && iter <= cfg.InitIters
 	lhsPhase := !s.useMeta && iter <= cfg.InitIters ||
 		(s.useMeta && !cfg.UseWorkloadChar && iter <= cfg.InitIters)
-	it.MetaProcessing = time.Since(tMeta)
 
 	// --- Model update: fit the target base-learner and ensemble weights.
+	// The meta-data processing the paper's client performs per iteration —
+	// materializing the corpus learners, bringing their memoized posteriors
+	// up to date and re-scaling the SLA thresholds (Section 6.1) — runs in
+	// between and is timed separately, as it.MetaProcessing.
 	tModel := time.Now()
 	var target *meta.BaseLearner
-	var surrogate bo.Surrogate
+	var surrogate bo.BatchSurrogate
 	var cons bo.Constraints
 	var bestVal = math.NaN()
 
@@ -333,6 +344,7 @@ func (s *Session) runIteration(iter int) error {
 	}
 
 	if s.useMeta && !lhsPhase {
+		tMeta := time.Now()
 		base := cfg.Base
 		var activeIDs []int
 		if cfg.Corpus != nil {
@@ -342,7 +354,6 @@ func (s *Session) runIteration(iter int) error {
 				return fmt.Errorf("core: corpus learners at iter %d: %w", iter, err)
 			}
 		}
-		var w []float64
 		useStatic := staticPhase
 		switch cfg.Schema {
 		case StaticOnlySchema:
@@ -350,12 +361,19 @@ func (s *Session) runIteration(iter int) error {
 		case DynamicOnlySchema:
 			useStatic = false
 		}
+		if !useStatic {
+			s.post.Update(base, s.h)
+		}
+		it.MetaProcessing = time.Since(tMeta)
+
+		var w []float64
 		if useStatic {
 			w = meta.StaticWeights(base, cfg.TargetMetaFeature, true, cfg.StaticBandwidth)
 			it.Phase = "static"
 		} else {
 			w = meta.DynamicWeightsOpts(base, target,
-				meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard, Recorder: rec},
+				meta.DynamicOptions{Samples: cfg.DynamicSamples, DilutionGuard: cfg.DilutionGuard,
+					Posteriors: s.post, Recorder: rec},
 				rng.Derive(cfg.Seed, fmt.Sprintf("dyn:%d", iter)))
 			it.Phase = "dynamic"
 			if cfg.Corpus != nil {
@@ -378,7 +396,9 @@ func (s *Session) runIteration(iter int) error {
 			it.Weights = ens.Weights()
 		}
 		surrogate = ens
+		tMeta = time.Now()
 		cons = ens.RescaledConstraints(s.defaultTheta)
+		it.MetaProcessing += time.Since(tMeta)
 		if best, ok := s.h.BestFeasible(s.res.SLA); ok {
 			mu, _ := ens.Predict(bo.Res, best.Theta)
 			bestVal = mu
@@ -391,7 +411,7 @@ func (s *Session) runIteration(iter int) error {
 		}
 		it.Phase = "cbo"
 	}
-	it.ModelUpdate = time.Since(tModel)
+	it.ModelUpdate = time.Since(tModel) - it.MetaProcessing
 
 	// --- Knobs recommendation: optimize the constrained acquisition.
 	tRec := time.Now()
@@ -407,26 +427,16 @@ func (s *Session) runIteration(iter int) error {
 		it.TrustCenter = append([]float64(nil), s.drift.center...)
 	}
 	var theta []float64
-	var acqFn bo.AcqFunc
 	if lhsPhase {
 		theta = s.lhsDesign[iter-1]
 		it.Phase = "lhs"
 	} else {
-		acq := func(x []float64) float64 {
-			return bo.CEI(surrogate, x, bestVal, cons)
+		// Both surrogates (TriGP and the meta ensemble) score candidate
+		// blocks; CEIBatch is bit-identical to point-wise CEI.
+		acq := func(X [][]float64, out []float64) {
+			bo.CEIBatch(surrogate, X, bestVal, cons, out)
 		}
-		acqFn = acq
-		// Every surrogate in this repository (TriGP and the meta
-		// ensemble) batches, so probes are scored block-at-a-time; the
-		// batch path is bit-identical to acq, keeping traces unchanged.
-		var acqBatch bo.BatchAcqFunc
-		if bs, ok := surrogate.(bo.BatchSurrogate); ok {
-			acqBatch = func(X [][]float64, out []float64) {
-				bo.CEIBatch(bs, X, bestVal, cons, out)
-			}
-		}
-		incumbents := s.incumbents()
-		theta = bo.OptimizeAcqBatch(acq, acqBatch, s.dim, acqCfg, incumbents, s.r)
+		theta = bo.OptimizeAcqBatch(acq, s.dim, acqCfg, s.incumbents(), s.r)
 	}
 	theta = s.space.Quantize(theta)
 	if trustBox != nil {
@@ -481,6 +491,7 @@ func (s *Session) runIteration(iter int) error {
 			s.driftEvents.Add(1)
 			s.driftResets.Add(1)
 			cfg.TargetMetaFeature = append([]float64(nil), s.drift.anchor...)
+			s.post.Reset()
 			if cfg.Corpus != nil {
 				if err := cfg.Corpus.Activate(cfg.TargetMetaFeature); err != nil {
 					return fmt.Errorf("core: re-activating corpus after drift at iter %d: %w", iter, err)
@@ -510,11 +521,13 @@ func (s *Session) runIteration(iter int) error {
 			obs.Float("recommend_ms", float64(it.Recommend.Microseconds())/1e3),
 			obs.Float("replay_ms", float64(it.Replay.Microseconds())/1e3),
 		}
-		if acqFn != nil {
+		if surrogate != nil {
 			// One extra pure acquisition evaluation at the chosen point.
 			// No RNG is consumed, so the tuning trace is unchanged.
-			if v := acqFn(theta); !math.IsNaN(v) && !math.IsInf(v, 0) {
-				attrs = append(attrs, obs.Float("cei", v))
+			var v [1]float64
+			bo.CEIBatch(surrogate, [][]float64{theta}, bestVal, cons, v[:])
+			if !math.IsNaN(v[0]) && !math.IsInf(v[0], 0) {
+				attrs = append(attrs, obs.Float("cei", v[0]))
 			}
 		}
 		if len(it.Weights) > 0 {

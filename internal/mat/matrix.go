@@ -185,18 +185,15 @@ func SqDistColsTo(s []float64, x []float64, xt *Dense, inv float64) {
 	if w8 > 0 {
 		sqDistRow(&s[0], &x[0], &xt.data[0], xt.rows, xt.cols, w8, inv)
 	}
-	if w8 == w {
-		return
-	}
+	// Tail columns (all of them when the batch is narrower than a vector):
+	// column-outer, one register accumulator each, same op order.
 	for j := w8; j < w; j++ {
-		s[j] = 0
-	}
-	for d, xd := range x {
-		row := xt.Row(d)
-		for j := w8; j < w; j++ {
-			diff := xd - row[j]
-			s[j] += diff * diff * inv
+		acc := 0.0
+		for d, xd := range x {
+			diff := xd - xt.data[d*xt.cols+j]
+			acc += diff * diff * inv
 		}
+		s[j] = acc
 	}
 }
 
@@ -446,29 +443,80 @@ func (c *Cholesky) SolveLowerBatchTo(dst, b *Dense) {
 		if simdOn {
 			w8 = w &^ 7
 		}
-		for i := 0; i < c.n; i++ {
-			row := c.row(i)
-			di := dst.Row(i)[lo:hi]
-			if w8 > 0 {
+		if w8 > 0 {
+			for i := 0; i < c.n; i++ {
+				row := c.row(i)
 				// Vector columns: one row of forward substitution across
 				// w8 right-hand sides, accumulators held in registers.
-				fwdSubRow(&di[0], &row[0], &dst.data[lo], i, dst.cols, w8, row[i])
-			}
-			if w8 < w {
-				dt := di[w8:]
-				for k := 0; k < i; k++ {
-					lik := row[k]
-					dk := dst.Row(k)[lo+w8 : hi]
-					for j := range dt {
-						dt[j] -= lik * dk[j]
-					}
-				}
-				lii := row[i]
-				for j := range dt {
-					dt[j] /= lii
-				}
+				fwdSubRow(&dst.data[i*dst.cols+lo], &row[0], &dst.data[lo], i, dst.cols, w8, row[i])
 			}
 		}
+		// Tail columns (all of them when the block is narrower than a
+		// vector, as in local search): column-outer forward substitution
+		// with SolveLowerVecTo's exact op order over the strided columns,
+		// up to four columns per pass so their dependency chains overlap.
+		j := lo + w8
+		for ; j+4 <= hi; j += 4 {
+			c.solveLowerCols4(dst.data[j:], dst.cols)
+		}
+		if j+2 <= hi {
+			c.solveLowerCols2(dst.data[j:], dst.cols)
+			j += 2
+		}
+		if j < hi {
+			c.solveLowerCol(dst.data[j:], dst.cols)
+		}
+	}
+}
+
+// solveLowerCol forward-substitutes one right-hand side stored with the
+// given stride (y[i*stride] is entry i) in place: per entry, subtract
+// L[i][k]·y[k] for ascending k, then divide by L[i][i] — SolveLowerVecTo's
+// op order, so a strided column solves bit-identically to a contiguous one.
+func (c *Cholesky) solveLowerCol(y []float64, stride int) {
+	for i := 0; i < c.n; i++ {
+		row := c.row(i)
+		s := y[i*stride]
+		for k, lik := range row[:i] {
+			s -= lik * y[k*stride]
+		}
+		y[i*stride] = s / row[i]
+	}
+}
+
+// solveLowerCols2 is solveLowerCol for two adjacent columns (y[i*stride]
+// and y[i*stride+1]) solved together: one register accumulator per column,
+// each with solveLowerCol's op order.
+func (c *Cholesky) solveLowerCols2(y []float64, stride int) {
+	for i := 0; i < c.n; i++ {
+		row := c.row(i)
+		yi := y[i*stride : i*stride+2]
+		s0, s1 := yi[0], yi[1]
+		for k, lik := range row[:i] {
+			yk := y[k*stride : k*stride+2]
+			s0 -= lik * yk[0]
+			s1 -= lik * yk[1]
+		}
+		lii := row[i]
+		yi[0], yi[1] = s0/lii, s1/lii
+	}
+}
+
+// solveLowerCols4 is solveLowerCols2 for four adjacent columns.
+func (c *Cholesky) solveLowerCols4(y []float64, stride int) {
+	for i := 0; i < c.n; i++ {
+		row := c.row(i)
+		yi := y[i*stride : i*stride+4]
+		s0, s1, s2, s3 := yi[0], yi[1], yi[2], yi[3]
+		for k, lik := range row[:i] {
+			yk := y[k*stride : k*stride+4]
+			s0 -= lik * yk[0]
+			s1 -= lik * yk[1]
+			s2 -= lik * yk[2]
+			s3 -= lik * yk[3]
+		}
+		lii := row[i]
+		yi[0], yi[1], yi[2], yi[3] = s0/lii, s1/lii, s2/lii, s3/lii
 	}
 }
 

@@ -150,7 +150,10 @@ func growZero(s []float64, n int) []float64 {
 // candidate of a block, bit-identical to per-point Predict. Zero-weight base
 // learners are skipped entirely — their surrogates never build a block — and
 // each contributing learner computes its cross-covariance block(s) once for
-// the whole (block x 3 metrics) workload via its own PredictBatch.
+// the whole (block x 3 metrics) workload. Under Eq. 7 proper (a target
+// exists and weighted variance is off) the base learners' variances are
+// never read, so they contribute means only (bo.TriGP.MeanBatch) and skip
+// their triangular solves.
 func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	post.Resize(len(X))
 	n := len(X)
@@ -159,6 +162,8 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 	}
 	buf := ensemblePool.Get().(*ensembleBuf)
 	buf.resize(n)
+	hasTarget := e.target != nil
+	meanOnly := hasTarget && !e.weightedVariance
 	// Accumulate base learners in index order — the same order, and thus the
 	// same floating-point sums, as the point-wise loop.
 	sumW := 0.0
@@ -168,17 +173,25 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 		}
 		w := e.weights[i]
 		sumW += w
-		b.PredictBatch(X, &buf.learner)
+		if meanOnly {
+			b.Surrogate.MeanBatch(X, &buf.learner)
+		} else {
+			b.PredictBatch(X, &buf.learner)
+		}
 		for m := range buf.sumWMu {
-			lmu, lv := buf.learner.Mu[m], buf.learner.Var[m]
-			smu, sv := buf.sumWMu[m], buf.sumWVar[m]
+			lmu, smu := buf.learner.Mu[m], buf.sumWMu[m]
 			for j := 0; j < n; j++ {
 				smu[j] += w * lmu[j]
+			}
+			if meanOnly {
+				continue
+			}
+			lv, sv := buf.learner.Var[m], buf.sumWVar[m]
+			for j := 0; j < n; j++ {
 				sv[j] += w * lv[j]
 			}
 		}
 	}
-	hasTarget := e.target != nil
 	if hasTarget {
 		e.target.PredictBatch(X, &buf.target)
 		if w := e.weights[len(e.base)]; w > 0 {
@@ -204,7 +217,7 @@ func (e *Ensemble) PredictBatch(X [][]float64, post *bo.BatchPosterior) {
 		for j := 0; j < n; j++ {
 			mu[j] = buf.sumWMu[m][j] / sumW
 		}
-		if hasTarget && !e.weightedVariance {
+		if meanOnly {
 			copy(va, buf.target.Var[m])
 			continue
 		}

@@ -97,8 +97,8 @@ func (e *RankEvaluator) Loss(pred []float64) int {
 		insertionSort(seg)
 		tiesBoth += countEqualPairs(seg)
 	}
-	inv := countInversions(a, e.buf) // sorts a ascending as a side effect
-	tiesPred := countEqualPairs(a)
+	inv, sorted := countInversions(a, e.buf)
+	tiesPred := countEqualPairs(sorted)
 	return 2*inv + tiesPred + e.tiesTruth - 2*tiesBoth
 }
 
@@ -130,35 +130,58 @@ func countEqualPairs(s []float64) int {
 	return ties + run*(run-1)/2
 }
 
-// countInversions counts pairs i < j with a[i] > a[j] (strict) by bottom-up
-// merge sort, sorting a ascending in place. buf must have len(a) capacity.
-func countInversions(a, buf []float64) int {
+// invRun is the run length of countInversions' insertion-sort pass: long
+// enough that the merge levels start three rounds up, short enough that
+// shifting stays cheaper than merging.
+const invRun = 16
+
+// countInversions counts pairs i < j with a[i] > a[j] (strict) and returns
+// the count with the values sorted ascending — in a or in buf, whichever
+// the last merge wrote (buf must have len(a) capacity; both are clobbered).
+//
+// Runs of invRun elements are insertion-sorted first; every shift moves an
+// element past one strictly greater predecessor, so the shifts count the
+// in-run inversions exactly. Sorted runs then merge pairwise, ping-ponging
+// between a and buf with no copy-back, and a merge that takes the right
+// element while k left elements remain adds those k inversions. Equal
+// values never shift or count, so the total matches Eq. 9's pairwise scan.
+func countInversions(a, buf []float64) (int, []float64) {
 	n := len(a)
 	inv := 0
-	buf = buf[:n]
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n-width; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if hi > n {
-				hi = n
+	for lo := 0; lo < n; lo += invRun {
+		run := a[lo:min(lo+invRun, n)]
+		for i := 1; i < len(run); i++ {
+			v := run[i]
+			j := i - 1
+			for j >= 0 && run[j] > v {
+				run[j+1] = run[j]
+				j--
 			}
+			run[j+1] = v
+			inv += i - 1 - j
+		}
+	}
+	src, dst := a, buf[:n]
+	for width := invRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid := min(lo+width, n)
+			hi := min(lo+2*width, n)
 			i, j, k := lo, mid, lo
 			for i < mid && j < hi {
-				if a[j] < a[i] { // strict: equal values are not inversions
+				if src[j] < src[i] { // strict: equal values are not inversions
 					inv += mid - i
-					buf[k] = a[j]
+					dst[k] = src[j]
 					j++
 				} else {
-					buf[k] = a[i]
+					dst[k] = src[i]
 					i++
 				}
 				k++
 			}
-			copy(buf[k:], a[i:mid])
-			copy(buf[k+mid-i:hi], a[j:hi])
-			copy(a[lo:hi], buf[lo:hi])
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
 		}
+		src, dst = dst, src
 	}
-	return inv
+	return inv, src
 }

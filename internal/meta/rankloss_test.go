@@ -106,3 +106,84 @@ func TestDynamicWeightsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// mergeCountInversions is the bottom-up merge sort countInversions
+// replaced (width-1 runs, copy-back at every level), kept as a reference:
+// it counts pairs i < j with a[i] > a[j] and sorts a ascending in place.
+func mergeCountInversions(a, buf []float64) int {
+	n := len(a)
+	inv := 0
+	buf = buf[:n]
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n-width; lo += 2 * width {
+			mid := lo + width
+			hi := min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if a[j] < a[i] {
+					inv += mid - i
+					buf[k] = a[j]
+					j++
+				} else {
+					buf[k] = a[i]
+					i++
+				}
+				k++
+			}
+			copy(buf[k:], a[i:mid])
+			copy(buf[k+mid-i:hi], a[j:hi])
+			copy(a[lo:hi], buf[lo:hi])
+		}
+	}
+	return inv
+}
+
+// FuzzRankingLoss decodes bytes into a prediction/truth pair — a level
+// count byte, then one byte per value reduced modulo the level count, so
+// small level counts give dense ties on both sides — and checks that the
+// run-and-ping-pong inversion count equals the old merge sort and the
+// O(n²) pairwise count, leaves the values sorted, and that the full Eq. 9
+// loss matches the pairwise scan.
+func FuzzRankingLoss(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 0, 2, 1, 0, 2, 2})
+	f.Add([]byte{255, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35})
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		levels := 1 + int(data[0])
+		data = data[1:]
+		n := min(len(data)/2, 300)
+		pred := make([]float64, n)
+		truth := make([]float64, n)
+		for i := 0; i < n; i++ {
+			pred[i] = float64(int(data[2*i])%levels) - float64(levels)/3
+			truth[i] = float64(int(data[2*i+1]) % levels)
+		}
+
+		pairs := 0
+		for i := range pred {
+			for j := i + 1; j < n; j++ {
+				if pred[i] > pred[j] {
+					pairs++
+				}
+			}
+		}
+		a := append([]float64(nil), pred...)
+		got, sorted := countInversions(a, make([]float64, n))
+		ref := append([]float64(nil), pred...)
+		want := mergeCountInversions(ref, make([]float64, n))
+		if got != want || got != pairs {
+			t.Fatalf("inversions: got %d, merge-sort reference %d, pairwise %d", got, want, pairs)
+		}
+		for i := range sorted {
+			if sorted[i] != ref[i] {
+				t.Fatalf("sorted output differs at %d: %v vs %v", i, sorted, ref)
+			}
+		}
+		if got, want := RankingLoss(pred, truth), bruteRankingLoss(pred, truth); got != want {
+			t.Fatalf("ranking loss %d, pairwise scan %d", got, want)
+		}
+	})
+}

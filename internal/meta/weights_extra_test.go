@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,4 +100,50 @@ func TestWeightedVarianceEnsemble(t *testing.T) {
 	if _, v := e.Predict(bo.Res, x); v != vt {
 		t.Fatal("WithWeightedVariance must not mutate the receiver")
 	}
+}
+
+// TestPosteriorMemoMatchesPointwise pins the memo's values to point-wise
+// BaseLearner.Predict bit for bit as the history grows one observation at
+// a time, across a learner dropped from and re-added to the base list, a
+// Reset, and a history on a different backing array.
+func TestPosteriorMemoMatchesPointwise(t *testing.T) {
+	a := mustLearner(t, "a", nil, synthHistory(25, 0.3, 500, 300, 2), 2)
+	b := mustLearner(t, "b", nil, synthHistory(25, 0.9, 10, 5, 3), 3)
+	full := synthHistory(16, 0.4, 10, 5, 7)
+	h := make(bo.History, 0, len(full))
+	m := NewPosteriorMemo()
+	check := func(step string, base []*BaseLearner, h bo.History) {
+		t.Helper()
+		m.Update(base, h)
+		if len(m.entries) != len(base) {
+			t.Fatalf("%s: memo holds %d learners, want %d", step, len(m.entries), len(base))
+		}
+		for _, bl := range base {
+			lp := m.entries[bl]
+			for mi, metric := range bo.Metrics {
+				if len(lp.mu[mi]) != len(h) {
+					t.Fatalf("%s: %s covers %d of %d observations", step, bl.TaskID, len(lp.mu[mi]), len(h))
+				}
+				for j, o := range h {
+					mu, v := bl.Predict(metric, o.Theta)
+					if math.Float64bits(lp.mu[mi][j]) != math.Float64bits(mu) ||
+						math.Float64bits(lp.sd[mi][j]) != math.Float64bits(math.Sqrt(v)) {
+						t.Fatalf("%s: %s metric %d obs %d: memo (%x, %x) != point-wise (%x, %x)",
+							step, bl.TaskID, mi, j, lp.mu[mi][j], lp.sd[mi][j], mu, math.Sqrt(v))
+					}
+				}
+			}
+		}
+	}
+	for i, o := range full {
+		h = append(h, o)
+		base := []*BaseLearner{a, b}
+		if i%5 == 3 {
+			base = base[:1] // b drops out, and is predicted afresh when it returns
+		}
+		check(fmt.Sprintf("grow %d", i), base, h)
+	}
+	m.Reset()
+	check("after reset", []*BaseLearner{b, a}, h)
+	check("new backing array", []*BaseLearner{a, b}, append(bo.History(nil), h[:9]...))
 }

@@ -8,9 +8,10 @@
 # Targets:
 #   mathcore (default)  Cholesky, GP-predict, acquisition and meta-weight
 #                       kernels plus the batched-inference benchmarks
-#                       (PredictBatch, and the point-wise vs batched
-#                       OptimizeAcq pair whose ratio is the batching
-#                       speedup) -> BENCH_mathcore.json
+#                       (PredictBatch, OptimizeAcqBatched, the narrow-block
+#                       CEIBatch widths against the point-wise CEI
+#                       reference, and the ranking loss)
+#                       -> BENCH_mathcore.json
 #   gpscale             BenchmarkGPFitLongHistory: exact vs subset-of-data
 #                       sparse model update at n in {1000, 2000}, merged
 #                       line-wise into BENCH_mathcore.json (other entries
@@ -58,7 +59,7 @@ TARGET="${1:-mathcore}"
 case "$TARGET" in
 mathcore)
     OUT="BENCH_mathcore.json"
-    PATTERN='^(BenchmarkCholAppend|BenchmarkCholFullRefactor|BenchmarkGPFitIncremental|BenchmarkGPFitLongHistory|BenchmarkGPPredict|BenchmarkGPPredictNoAlloc|BenchmarkPredictBatch|BenchmarkCEI|BenchmarkOptimizeAcqParallel|BenchmarkOptimizeAcqPointwise|BenchmarkOptimizeAcqBatched|BenchmarkDynamicWeights)$'
+    PATTERN='^(BenchmarkCholAppend|BenchmarkCholFullRefactor|BenchmarkGPFitIncremental|BenchmarkGPFitLongHistory|BenchmarkGPPredict|BenchmarkGPPredictNoAlloc|BenchmarkPredictBatch|BenchmarkCEI|BenchmarkOptimizeAcqParallel|BenchmarkOptimizeAcqBatched|BenchmarkCEIBatchNarrow|BenchmarkRankLoss|BenchmarkDynamicWeights)$'
     ;;
 gpscale)
     OUT="BENCH_mathcore.json"

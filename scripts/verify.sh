@@ -10,7 +10,8 @@
 #                                     regression suites)
 #   5. go test -race ./...           (short mode: the crash harness strides
 #                                     its boundary enumeration under -short)
-#   6. a benchmark smoke pass: the batched math-core benchmarks, the
+#   6. a benchmark smoke pass: the batched math-core benchmarks (wide and
+#      narrow-block acquisition scoring, the ranking loss), the
 #      corpus-scale meta-iteration benchmark, the fleet-scaling benchmark,
 #      the simulated-day drift benchmark and the long-history sparse-GP
 #      benchmark run once (-benchtime=1x) so a broken benchmark cannot land
@@ -64,7 +65,7 @@ go test -race -short ./...
 
 echo "==> benchmark smoke (-benchtime=1x)"
 go test -run '^$' \
-    -bench 'PredictBatch$|OptimizeAcqPointwise$|OptimizeAcqBatched$|^BenchmarkMetaIteration$|^BenchmarkFleetSessions$|^BenchmarkDriftSimulatedDay$|^BenchmarkGPFitLongHistory$' \
+    -bench 'PredictBatch$|OptimizeAcqBatched$|CEIBatchNarrow$|RankLoss$|^BenchmarkMetaIteration$|^BenchmarkFleetSessions$|^BenchmarkDriftSimulatedDay$|^BenchmarkGPFitLongHistory$' \
     -benchtime 1x .
 
 echo "==> corpus snapshot guard (scripts/benchcheck)"
@@ -134,6 +135,7 @@ fuzz ./internal/replay FuzzExtractTemplate
 fuzz ./internal/gp FuzzPredictBatch
 fuzz ./internal/gp FuzzSparseSelect
 fuzz ./internal/meta FuzzCorpusIndex
+fuzz ./internal/meta FuzzRankingLoss
 fuzz ./internal/workload FuzzTimeline
 
 echo "==> verify OK"
